@@ -1,6 +1,10 @@
 package opt
 
-import "csspgo/internal/ir"
+import (
+	"sort"
+
+	"csspgo/internal/ir"
+)
 
 // LICM hoists loop-invariant pure computation into a preheader — the
 // code-motion class of optimization that damages debug-info correlation:
@@ -32,9 +36,18 @@ func LICM(f *ir.Function) int {
 func licmLoop(f *ir.Function, loop *ir.Loop) int {
 	idom := f.Dominators()
 
+	// The loop's blocks in function block order: hoisting walks them in
+	// this order, so the build must not depend on map iteration order.
+	blocks := make([]*ir.Block, 0, len(loop.Blocks))
+	for _, b := range f.Blocks {
+		if loop.Blocks[b] {
+			blocks = append(blocks, b)
+		}
+	}
+
 	// Registers defined anywhere in the loop.
 	defCount := map[ir.Reg]int{}
-	for b := range loop.Blocks {
+	for _, b := range blocks {
 		for i := range b.Instrs {
 			if d := def(&b.Instrs[i]); d >= 0 {
 				defCount[d]++
@@ -44,7 +57,7 @@ func licmLoop(f *ir.Function, loop *ir.Loop) int {
 	// Globals stored in the loop and calls block load hoisting.
 	storedGlobals := map[string]bool{}
 	hasCalls := false
-	for b := range loop.Blocks {
+	for _, b := range blocks {
 		for i := range b.Instrs {
 			switch b.Instrs[i].Op {
 			case ir.OpStoreG:
@@ -74,7 +87,7 @@ func licmLoop(f *ir.Function, loop *ir.Loop) int {
 
 	liveouts := liveOut(f)
 	hoisted := 0
-	for b := range loop.Blocks {
+	for _, b := range blocks {
 		if !dominatesAllLatches(b) {
 			continue
 		}
@@ -163,9 +176,15 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 			delete(rename, r)
 		}
 	})
-	for r, nr := range rename {
+	// Emit in register order so the block's bytes never follow map order.
+	live := make([]ir.Reg, 0, len(rename))
+	for r := range rename {
+		live = append(live, r)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	for _, r := range live {
 		if lastHoisted[r] && liveOutB.has(r) {
-			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpMove, Dst: r, A: nr})
+			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpMove, Dst: r, A: rename[r]})
 		}
 	}
 	return hoistedCount
