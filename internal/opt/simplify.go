@@ -127,15 +127,22 @@ func probeInsensitiveEqual(a, b *ir.Instr) bool {
 // blocked — counted separately so experiments can report it.
 func tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int) {
 	f.RebuildCFG()
-	// Group candidate blocks by their unique jump target.
+	// Group candidate blocks by their unique jump target. Groups are
+	// visited in order of first appearance in f.Blocks, never map order:
+	// which pair merges first shapes the emitted code.
 	groups := map[*ir.Block][]*ir.Block{}
+	var targets []*ir.Block
 	for _, b := range f.Blocks {
 		if b.Term.Kind == ir.TermJump && len(b.Instrs) > 0 {
 			t := b.Term.Succs[0]
+			if groups[t] == nil {
+				targets = append(targets, t)
+			}
 			groups[t] = append(groups[t], b)
 		}
 	}
-	for target, siblings := range groups {
+	for _, target := range targets {
+		siblings := groups[target]
 		if len(siblings) < 2 {
 			continue
 		}
