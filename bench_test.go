@@ -201,8 +201,24 @@ func BenchmarkAblations(b *testing.B) {
 
 // ------------------------------------------------------ substrate micros
 
-// BenchmarkSimulator measures raw interpreter throughput (instructions/s).
+// BenchmarkSimulator measures raw interpreter throughput with the PMU off
+// (the evaluation configuration): ns/instr and allocs/op, which is 0 once
+// the first run has sized the register stack.
 func BenchmarkSimulator(b *testing.B) {
+	m := simBenchMachine(b, sim.PMUConfig{})
+	runSimBench(b, m)
+}
+
+// BenchmarkSimulatorPMU is the same loop with the PMU on: PEBS + stack
+// sampling streamed through a sample sink, the CS-profile configuration.
+func BenchmarkSimulatorPMU(b *testing.B) {
+	m := simBenchMachine(b, sim.DefaultPMUConfig(797))
+	m.SetSampleSink(recycleSink{}, 0)
+	runSimBench(b, m)
+	m.FlushSamples()
+}
+
+func simBenchMachine(b *testing.B, pmu sim.PMUConfig) *sim.Machine {
 	w, err := workloads.Load("hhvm", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -211,18 +227,30 @@ func BenchmarkSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := sim.New(res.Bin, sim.DefaultCostParams(), sim.PMUConfig{})
+	return sim.New(res.Bin, sim.DefaultCostParams(), pmu)
+}
+
+func runSimBench(b *testing.B, m *sim.Machine) {
+	b.ReportAllocs()
 	b.ResetTimer()
-	var instrs uint64
+	before := m.Stats().Instructions
 	for i := 0; i < b.N; i++ {
-		before := m.Stats().Instructions
 		if _, err := m.Run(int64(i), 200); err != nil {
 			b.Fatal(err)
 		}
-		instrs += m.Stats().Instructions - before
 	}
+	b.StopTimer()
+	instrs := m.Stats().Instructions - before
 	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
+	if instrs > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+	}
 }
+
+// recycleSink drops streamed samples, handing every chunk straight back.
+type recycleSink struct{}
+
+func (recycleSink) ConsumeChunk(ch *sim.SampleChunk) { sim.RecycleChunk(ch) }
 
 // BenchmarkUnwinder measures Algorithm 1 throughput (samples/op).
 func BenchmarkUnwinder(b *testing.B) {

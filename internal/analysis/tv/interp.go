@@ -152,6 +152,15 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
+// globalsHash digests a flat global image (RunResult.GlobalHash).
+func globalsHash(globals []int64) uint64 {
+	h := uint64(fnvOffset)
+	for _, v := range globals {
+		h = fnvMix(h, uint64(v))
+	}
+	return h
+}
+
 // Run interprets p's main on args under the shared context and returns the
 // observable outcome. p may be any pipeline state of the program the
 // context was built from.
@@ -173,11 +182,7 @@ func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
 		res.Status = "trap: " + fmt.Sprintf(format, a...)
 	}
 	finish := func() RunResult {
-		h := uint64(fnvOffset)
-		for _, v := range globals {
-			h = fnvMix(h, uint64(v))
-		}
-		res.GlobalHash = h
+		res.GlobalHash = globalsHash(globals)
 		return res
 	}
 

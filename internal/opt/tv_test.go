@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"csspgo/internal/analysis/tv"
+	"csspgo/internal/fuzzgen"
 	"csspgo/internal/ir"
 	"csspgo/internal/irgen"
 	"csspgo/internal/obs"
@@ -194,7 +195,7 @@ func FuzzTranslationValidate(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		src := generateProgram(seed)
+		src := fuzzgen.Program(seed)
 		sf, err := source.Parse("fuzz.ml", src)
 		if err != nil {
 			t.Skip() // generator emitted something unparsable; not tv's bug

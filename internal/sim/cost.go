@@ -56,34 +56,10 @@ func ProfilingCostParams() CostParams {
 	return p
 }
 
-// predictor is a classic table of 2-bit saturating counters indexed by
-// branch address (no aliasing — one entry per static branch).
-type predictor struct {
-	table map[uint64]uint8
-}
-
-func newPredictor() *predictor { return &predictor{table: map[uint64]uint8{}} }
-
-// predictAndUpdate returns whether the prediction for addr matched the
-// outcome, then trains the counter. Counters start weakly-taken (2).
-func (p *predictor) predictAndUpdate(addr uint64, taken bool) bool {
-	c, ok := p.table[addr]
-	if !ok {
-		c = 2
-	}
-	predictTaken := c >= 2
-	if taken && c < 3 {
-		c++
-	} else if !taken && c > 0 {
-		c--
-	}
-	p.table[addr] = c
-	return predictTaken == taken
-}
-
 // icache is a set-associative instruction cache with LRU replacement.
 type icache struct {
-	sets     [][]icLine
+	lines    []icLine // set-major: set s is lines[s*ways : (s+1)*ways]
+	ways     int
 	lineBits uint
 	setMask  uint64
 	tick     uint64
@@ -104,19 +80,20 @@ func newICache(p CostParams) *icache {
 	if nsets < 1 {
 		nsets = 1
 	}
-	c := &icache{lineBits: lineBits, setMask: uint64(nsets - 1)}
-	c.sets = make([][]icLine, nsets)
-	for i := range c.sets {
-		c.sets[i] = make([]icLine, p.ICacheWays)
+	return &icache{
+		lines:    make([]icLine, nsets*p.ICacheWays),
+		ways:     p.ICacheWays,
+		lineBits: lineBits,
+		setMask:  uint64(nsets - 1),
 	}
-	return c
 }
 
 // access touches the line containing addr; returns true on hit.
 func (c *icache) access(addr uint64) bool {
 	c.tick++
 	line := addr >> c.lineBits
-	set := c.sets[line&c.setMask]
+	s := int(line&c.setMask) * c.ways
+	set := c.lines[s : s+c.ways]
 	var victim, oldest = 0, ^uint64(0)
 	for i := range set {
 		if set[i].valid && set[i].tag == line {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"csspgo/internal/codegen"
@@ -371,6 +372,49 @@ func TestStepLimit(t *testing.T) {
 	m.MaxSteps = 10000
 	if _, err := m.Run(); err != ErrStepLimit {
 		t.Fatalf("want ErrStepLimit, got %v", err)
+	}
+	// The guard fires before the first step over the limit retires.
+	if got := m.Stats().Instructions; got != m.MaxSteps {
+		t.Fatalf("instructions = %d, want exactly MaxSteps = %d", got, m.MaxSteps)
+	}
+}
+
+// unmappedProg is main: one control transfer of the given kind to
+// 0x5000, where no instruction starts, then a ret that never runs.
+func unmappedProg(kind machine.Kind) *machine.Prog {
+	main := &machine.Func{ID: 0, Name: "main", Start: 0x1000, End: 0x1006, NumRegs: 1}
+	p := &machine.Prog{
+		Instrs: []machine.Instr{
+			{Addr: 0x1000, Size: machine.SizeOf(kind), Kind: kind, Target: 0x5000, A: 0, BranchNeg: true, Dst: -1},
+			{Addr: 0x1000 + uint64(machine.SizeOf(kind)), Size: 1, Kind: machine.KRet, A: -1},
+		},
+		Funcs:      []*machine.Func{main},
+		FuncByName: map[string]*machine.Func{"main": main},
+		EntryAddr:  0x1000,
+	}
+	p.Freeze()
+	return p
+}
+
+func TestJumpToUnmappedAddress(t *testing.T) {
+	for _, kind := range []machine.Kind{machine.KJump, machine.KBranch, machine.KCall, machine.KTailCall} {
+		for _, pmu := range []PMUConfig{{}, {SamplePeriod: 1, LBRDepth: 16, PEBS: true, SampleStacks: true}} {
+			m := New(unmappedProg(kind), DefaultCostParams(), pmu)
+			if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "jump to unmapped address") {
+				t.Fatalf("%s, period %d: want the unmapped-address error, got %v", kind, pmu.SamplePeriod, err)
+			}
+			if st := m.Stats(); st.Instructions != 1 || st.TakenBranches != 1 {
+				t.Fatalf("%s: the faulting transfer must retire: %+v", kind, st)
+			}
+			if pmu.SamplePeriod == 0 {
+				continue
+			}
+			// The sampled LBR records the raw target the transfer jumped to.
+			s := m.Samples()
+			if len(s) != 1 || s[0].LBR[0] != (BranchRec{From: 0x1000, To: 0x5000}) {
+				t.Fatalf("%s: samples %+v, want one with LBR 0x1000->0x5000", kind, s)
+			}
+		}
 	}
 }
 
